@@ -13,6 +13,7 @@
 //! violated bound (or zero successful decisions) exits with code 4. Exit
 //! codes: see [`fg_serve::Exit`].
 
+use fg_serve::exit::print_stdout;
 use fg_serve::loadgen::{run, LoadgenConfig};
 use fg_serve::Exit;
 use std::path::PathBuf;
@@ -137,7 +138,7 @@ fn main() -> ExitCode {
         eprintln!("fg-loadgen: cannot write {}: {e}", args.out.display());
         return Exit::Unavailable.into();
     }
-    println!(
+    let printed = print_stdout(&format!(
         "fg-loadgen: {} sent, {} ok, {:.1} decisions/sec, \
          p50 {:.2} ms, p99 {:.2} ms, p999 {:.2} ms -> {}",
         report.sent,
@@ -147,7 +148,10 @@ fn main() -> ExitCode {
         report.latency_ms.p99,
         report.latency_ms.p999,
         args.out.display()
-    );
+    ));
+    if printed != Exit::Success {
+        return printed.into();
+    }
 
     let mut violations = Vec::new();
     if report.ok == 0 {

@@ -15,6 +15,7 @@
 //! flushes a final metrics snapshot (when `--final-metrics` is given), and
 //! exits. Exit codes: see [`fg_serve::Exit`].
 
+use fg_serve::exit::print_stdout;
 use fg_serve::{Exit, ServeConfig, Server};
 use fg_telemetry::Telemetry;
 use std::path::PathBuf;
@@ -114,12 +115,10 @@ fn main() -> ExitCode {
     if args.print_config {
         // Emits the effective (validated) config as a reload-ready file —
         // the canonical way to bootstrap a watched config for deployment.
-        println!("{}", config.to_json());
-        return Exit::Success.into();
+        return print_stdout(&config.to_json()).into();
     }
     if args.check {
-        println!("config ok (listen {})", config.listen);
-        return Exit::Success.into();
+        return print_stdout(&format!("config ok (listen {})", config.listen)).into();
     }
 
     let shutdown = unix_signal::install();

@@ -59,14 +59,24 @@ impl Request {
             .map(|(_, v)| v.as_str())
     }
 
-    /// Whether the connection should stay open after this exchange.
+    /// Whether the connection should stay open after this exchange:
+    /// a `Connection` value mentioning `close` wins, then `keep-alive`,
+    /// then the HTTP version's default. Case-insensitive, allocation-free.
     pub fn wants_keep_alive(&self) -> bool {
-        match self.header("connection").map(str::to_ascii_lowercase) {
-            Some(v) if v.contains("close") => false,
-            Some(v) if v.contains("keep-alive") => true,
+        match self.header("connection") {
+            Some(v) if contains_ignore_ascii_case(v, "close") => false,
+            Some(v) if contains_ignore_ascii_case(v, "keep-alive") => true,
             _ => self.http11,
         }
     }
+}
+
+/// Whether `needle` occurs anywhere in `haystack`, ignoring ASCII case.
+fn contains_ignore_ascii_case(haystack: &str, needle: &str) -> bool {
+    haystack
+        .as_bytes()
+        .windows(needle.len())
+        .any(|w| w.eq_ignore_ascii_case(needle.as_bytes()))
 }
 
 /// Why a request could not be parsed.
@@ -332,24 +342,45 @@ impl Response {
         self
     }
 
-    /// Serializes status line, headers, and body to `w`.
-    pub fn write_to<W: Write>(&self, w: &mut W) -> io::Result<()> {
-        write!(
-            w,
+    /// Appends the whole message to `out`: status line, `Content-Type`,
+    /// `Content-Length`, the extra headers, `Connection: close` when
+    /// closing, the blank line, and the body.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        let extra: usize = self
+            .headers
+            .iter()
+            .map(|(n, v)| n.len() + v.len() + 4)
+            .sum();
+        out.reserve(96 + extra + self.body.len());
+        // Writing into a `Vec` cannot fail.
+        let _ = write!(
+            out,
             "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\n",
             self.status,
             reason(self.status),
             self.content_type,
             self.body.len()
-        )?;
+        );
         for (name, value) in &self.headers {
-            write!(w, "{name}: {value}\r\n")?;
+            out.extend_from_slice(name.as_bytes());
+            out.extend_from_slice(b": ");
+            out.extend_from_slice(value.as_bytes());
+            out.extend_from_slice(b"\r\n");
         }
         if self.close {
-            write!(w, "Connection: close\r\n")?;
+            out.extend_from_slice(b"Connection: close\r\n");
         }
-        write!(w, "\r\n")?;
-        w.write_all(&self.body)?;
+        out.extend_from_slice(b"\r\n");
+        out.extend_from_slice(&self.body);
+    }
+
+    /// Encodes the message and sends it to `w` in one `write_all`. On a
+    /// `TCP_NODELAY` socket every write is its own segment, so a message
+    /// written piecewise would cost the peer one wake-up per piece.
+    pub fn write_to<W: Write>(&self, w: &mut W) -> io::Result<()> {
+        let mut out = Vec::new();
+        self.encode_into(&mut out);
+        w.write_all(&out)?;
         w.flush()
     }
 }
@@ -464,6 +495,98 @@ mod tests {
         assert!(s.contains("Content-Length: 2\r\n"));
         assert!(s.contains("Connection: close\r\n"));
         assert!(s.ends_with("\r\n\r\nhi"));
+    }
+
+    fn keep_alive(head: &str) -> bool {
+        parse(head.as_bytes()).unwrap().wants_keep_alive()
+    }
+
+    #[test]
+    fn keep_alive_tokens_match_case_insensitively() {
+        assert!(keep_alive(
+            "GET / HTTP/1.0\r\nConnection: Keep-Alive\r\n\r\n"
+        ));
+        assert!(!keep_alive("GET / HTTP/1.1\r\nConnection: CLOSE\r\n\r\n"));
+        assert!(keep_alive(
+            "GET / HTTP/1.0\r\nConnection: keep-alive, Upgrade\r\n\r\n"
+        ));
+        assert!(!keep_alive("GET / HTTP/1.0\r\n\r\n"));
+        assert!(keep_alive("GET / HTTP/1.1\r\nConnection: Upgrade\r\n\r\n"));
+        // "close" wins over "keep-alive" when both are present.
+        assert!(!keep_alive(
+            "GET / HTTP/1.1\r\nConnection: keep-alive, Close\r\n\r\n"
+        ));
+    }
+
+    /// Counts `write` calls and keeps what was written.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn every_response_shape_leaves_in_one_write() {
+        let shapes = [
+            Response::json(200, "{\"decision\":\"allow\"}"),
+            Response::text(200, "# HELP x\n"),
+            Response::error(400, "bad decide body"),
+            Response::error(408, "request timeout").closing(),
+            Response::json(200, "{}").with_header("traceparent", "00-ab-cd-01".to_owned()),
+            Response::text(404, Vec::new()),
+        ];
+        for response in shapes {
+            let mut w = CountingWriter::default();
+            response.write_to(&mut w).unwrap();
+            assert_eq!(w.writes, 1, "{response:?}");
+            let mut encoded = Vec::new();
+            response.encode_into(&mut encoded);
+            assert_eq!(w.bytes, encoded);
+        }
+    }
+
+    #[test]
+    fn golden_bytes_of_a_traced_decide_reply_and_a_closing_408() {
+        let body = r#"{"decision":"allow","score":0.0,"trace_id":42}"#;
+        let mut out = Vec::new();
+        Response::json(200, body)
+            .with_header(
+                "traceparent",
+                "00-0af7651916cd43dd8448eb211c80319c-000000000000002a-01".to_owned(),
+            )
+            .write_to(&mut out)
+            .unwrap();
+        let want = "HTTP/1.1 200 OK\r\n\
+                    Content-Type: application/json\r\n\
+                    Content-Length: 46\r\n\
+                    traceparent: 00-0af7651916cd43dd8448eb211c80319c-000000000000002a-01\r\n\
+                    \r\n\
+                    {\"decision\":\"allow\",\"score\":0.0,\"trace_id\":42}";
+        assert_eq!(String::from_utf8(out).unwrap(), want);
+
+        let mut out = Vec::new();
+        Response::error(408, "request timeout")
+            .closing()
+            .write_to(&mut out)
+            .unwrap();
+        let want = "HTTP/1.1 408 Request Timeout\r\n\
+                    Content-Type: application/json\r\n\
+                    Content-Length: 27\r\n\
+                    Connection: close\r\n\
+                    \r\n\
+                    {\"error\":\"request timeout\"}";
+        assert_eq!(String::from_utf8(out).unwrap(), want);
     }
 
     #[test]

@@ -324,6 +324,8 @@ fn drive_connection(
         slowest: Vec::new(),
     };
     let mut conn: Option<(BufReader<TcpStream>, TcpStream)> = None;
+    // Each request is assembled here and sent in one write.
+    let mut out = Vec::new();
     let mut next_send = Instant::now();
     while Instant::now() < deadline {
         if let Some(iv) = interval {
@@ -362,7 +364,7 @@ fn drive_connection(
         let traceparent = traceparent_for(seed, n);
         let (reader, writer) = conn.as_mut().expect("connection just ensured");
         let t0 = Instant::now();
-        match exchange(reader, writer, &body, &traceparent) {
+        match exchange(reader, writer, &mut out, &body, &traceparent) {
             Ok((status, resp_body)) => {
                 let elapsed_ns = t0.elapsed().as_nanos() as u64;
                 outcome.sent += 1;
@@ -411,20 +413,23 @@ fn drive_connection(
 
 /// One POST /v1/decide round trip over an established connection, carrying
 /// a deterministic `traceparent` so server-side spans correlate to the
-/// replay position.
+/// replay position. The request is assembled in `out` and sent in one
+/// `write_all`.
 fn exchange(
     reader: &mut BufReader<TcpStream>,
     writer: &mut TcpStream,
+    out: &mut Vec<u8>,
     body: &[u8],
     traceparent: &str,
 ) -> std::io::Result<(u16, Vec<u8>)> {
+    out.clear();
     write!(
-        writer,
+        out,
         "POST /v1/decide HTTP/1.1\r\nHost: fg-serve\r\nContent-Type: application/json\r\nTraceparent: {traceparent}\r\nContent-Length: {}\r\n\r\n",
         body.len()
     )?;
-    writer.write_all(body)?;
-    writer.flush()?;
+    out.extend_from_slice(body);
+    writer.write_all(out)?;
     read_response(reader)
 }
 

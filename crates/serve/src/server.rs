@@ -21,7 +21,7 @@ use fg_sentinel::Sentinel;
 use fg_telemetry::metrics::{Counter, Gauge, Latency};
 use fg_telemetry::trace::TraceConfig;
 use fg_telemetry::{HistSnapshot, RequestTrace, Telemetry};
-use std::io::BufReader;
+use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -413,7 +413,7 @@ impl ServeState {
         let response = match (req.method.as_str(), path_of(&req.target)) {
             ("GET", "/healthz") => Response::json(200, &b"{\"ok\":true}"[..]),
             ("GET", "/readyz") => self.readyz(),
-            ("GET", "/metrics") => Response::text(200, self.telemetry.snapshot().to_prometheus()),
+            ("GET", "/metrics") => self.metrics_exposition(),
             ("GET", "/debug/traces") => self.debug_traces(req),
             ("GET", "/debug/flightrecorder") => self.debug_flightrecorder(),
             ("GET", "/debug/alerts") => self.debug_alerts(),
@@ -518,6 +518,19 @@ impl ServeState {
             }
         }
         response
+    }
+
+    /// `GET /metrics`: the Prometheus exposition. Exemplars are restricted
+    /// to traces the ring still retains: a latency band nobody has hit
+    /// since its trace was evicted must not send the reader to a trace
+    /// `/debug/traces` cannot serve.
+    fn metrics_exposition(&self) -> Response {
+        let mut snapshot = self.telemetry.snapshot();
+        let retained = self.telemetry.tracer().retained_ids();
+        for sample in &mut snapshot.metrics.latencies {
+            sample.exemplars.retain(|e| retained.contains(&e.trace_id));
+        }
+        Response::text(200, snapshot.to_prometheus())
     }
 
     /// `GET /debug/traces[?trace_id=<16 hex>]`: the live tracer ring —
@@ -843,6 +856,7 @@ impl Server {
 }
 
 fn accept_loop(listener: &TcpListener, tx: &SyncSender<TcpStream>, state: &Arc<ServeState>) {
+    let mut out = Vec::new();
     loop {
         if state.draining() {
             return; // drops tx → workers drain the queue and exit
@@ -852,7 +866,7 @@ fn accept_loop(listener: &TcpListener, tx: &SyncSender<TcpStream>, state: &Arc<S
                 state.metrics.connections.inc();
                 match tx.try_send(stream) {
                     Ok(()) => {}
-                    Err(TrySendError::Full(stream)) => shed(stream, state),
+                    Err(TrySendError::Full(stream)) => shed(stream, state, &mut out),
                     Err(TrySendError::Disconnected(_)) => return,
                 }
             }
@@ -868,7 +882,7 @@ fn accept_loop(listener: &TcpListener, tx: &SyncSender<TcpStream>, state: &Arc<S
 /// timeout so a slow-reading client cannot stall accepting. The shed is an
 /// incident: it lands in the flight recorder and freezes the ring, so the
 /// traffic that saturated the queue stays retrievable afterwards.
-fn shed(stream: TcpStream, state: &Arc<ServeState>) {
+fn shed(mut stream: TcpStream, state: &Arc<ServeState>, out: &mut Vec<u8>) {
     state.metrics.shed.inc();
     state.metrics.on_response(Class::Other, 429);
     let seq = state.request_seq.fetch_add(1, Ordering::Relaxed) + 1;
@@ -889,10 +903,19 @@ fn shed(stream: TcpStream, state: &Arc<ServeState>) {
         flight.freeze("shed", state.boot_ms());
     }
     let _ = stream.set_write_timeout(Some(Duration::from_millis(200)));
-    let mut stream = stream;
-    let _ = Response::error(429, "server saturated, retry later")
-        .closing()
-        .write_to(&mut stream);
+    let _ = send(
+        &mut stream,
+        out,
+        &Response::error(429, "server saturated, retry later").closing(),
+    );
+}
+
+/// Encodes `response` into the caller's reused buffer and sends it in one
+/// `write_all`: one message, one send, one segment under `TCP_NODELAY`.
+fn send(stream: &mut TcpStream, out: &mut Vec<u8>, response: &Response) -> std::io::Result<()> {
+    out.clear();
+    response.encode_into(out);
+    stream.write_all(out)
 }
 
 fn worker_loop(rx: &Arc<Mutex<Receiver<TcpStream>>>, state: &Arc<ServeState>) {
@@ -940,6 +963,8 @@ fn handle_connection(stream: TcpStream, state: &Arc<ServeState>) {
     };
     let mut writer = write_half;
     let mut reader = BufReader::new(stream);
+    // One output buffer per connection, reused by every reply it sends.
+    let mut out = Vec::new();
     let mut idle_since = Instant::now();
     loop {
         match http::read_request(&mut reader, &state.limits) {
@@ -950,7 +975,7 @@ fn handle_connection(stream: TcpStream, state: &Arc<ServeState>) {
                 if !request.wants_keep_alive() || draining {
                     response.close = true;
                 }
-                if response.write_to(&mut writer).is_err() {
+                if send(&mut writer, &mut out, &response).is_err() {
                     return;
                 }
                 if response.close {
@@ -966,7 +991,11 @@ fn handle_connection(stream: TcpStream, state: &Arc<ServeState>) {
             Err(err) => {
                 if let Some((status, why)) = err.status() {
                     state.metrics.on_response(Class::Other, status);
-                    let _ = Response::error(status, why).closing().write_to(&mut writer);
+                    let _ = send(
+                        &mut writer,
+                        &mut out,
+                        &Response::error(status, why).closing(),
+                    );
                 }
                 return;
             }
@@ -1053,5 +1082,34 @@ fn watch_loop(path: &std::path::Path, baseline: Option<String>, state: &Arc<Serv
         }
         last_seen = Some(current.clone());
         let _ = state.try_reload(&current);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use fg_telemetry::RequestTrace;
+
+    #[test]
+    fn metrics_exemplars_cite_only_retained_traces() {
+        let mut config = ServeConfig::recommended();
+        config.observe.trace_capacity = 1;
+        let state = ServeState::new(config, Telemetry::shared());
+        let latency = state
+            .metrics
+            .latency_for(Class::Decide, 200)
+            .expect("decide/200 cell is registered");
+        // Two exemplars in different latency bands; the second trace's
+        // submission evicts the first from the one-trace ring.
+        for (id, ms) in [(0xa1, 1), (0xb2, 20)] {
+            let mut trace = RequestTrace::new(id, 1, "decide", SimTime::ZERO);
+            trace.pin();
+            state.telemetry.record_trace(trace);
+            latency.record_with_exemplar(Duration::from_millis(ms), id);
+        }
+        let Response { body, .. } = state.metrics_exposition();
+        let exposition = String::from_utf8(body).expect("exposition is UTF-8");
+        assert!(exposition.contains(r#"trace_id="00000000000000b2""#));
+        assert!(!exposition.contains(r#"trace_id="00000000000000a1""#));
     }
 }

@@ -4,9 +4,11 @@
 //! first line of defence — every input must resolve to `Ok` or a typed
 //! [`ParseError`], and every error that owes a response must map to a 4xx.
 //! Covers arbitrary garbage, truncations of valid requests, oversized
-//! components, and pipelined sequences.
+//! components, and pipelined sequences — plus the reverse direction: every
+//! encoded response reads back through the client's response reader.
 
-use fg_serve::http::{read_request, Limits, ParseError, Request};
+use fg_serve::http::{read_request, Limits, ParseError, Request, Response};
+use fg_serve::loadgen::read_response;
 use proptest::prelude::*;
 use std::io::Cursor;
 
@@ -24,6 +26,9 @@ fn valid_request(target: &str, body: &[u8]) -> Vec<u8> {
     out.extend_from_slice(body);
     out
 }
+
+/// Names the encode/read-back property draws its extra headers from.
+const EXTRA_HEADERS: [&str; 3] = ["traceparent", "x-request-id", "retry-after"];
 
 fn assert_contract(result: &Result<Request, ParseError>) {
     if let Err(e) = result {
@@ -109,6 +114,38 @@ proptest! {
             read_request(&mut cursor, &limits),
             Err(ParseError::IdleEof)
         ));
+    }
+
+    /// Any status, extra-header list and body the encoder is given parses
+    /// back through `loadgen::read_response` to the same status and body.
+    #[test]
+    fn encoded_responses_read_back(
+        status in 100u16..600,
+        headers in proptest::collection::vec(
+            (0usize..EXTRA_HEADERS.len(), proptest::collection::vec(0x20u8..0x7f, 0..64)),
+            0..4,
+        ),
+        raw_body in proptest::collection::vec(0u16..256, 0..512),
+        close in any::<bool>(),
+    ) {
+        let body: Vec<u8> = raw_body.into_iter().map(|b| b as u8).collect();
+        let mut response = Response::json(status, body.clone());
+        for (name, value) in headers {
+            // Printable ASCII only, so the value is valid UTF-8.
+            let value = String::from_utf8(value).expect("printable ASCII");
+            response = response.with_header(EXTRA_HEADERS[name], value);
+        }
+        if close {
+            response = response.closing();
+        }
+        let mut encoded = Vec::new();
+        response.encode_into(&mut encoded);
+        let mut reader = encoded.as_slice();
+        let (got_status, got_body) = read_response(&mut reader)
+            .unwrap_or_else(|e| panic!("encoded response did not read back: {e}"));
+        prop_assert_eq!(got_status, status);
+        prop_assert_eq!(got_body, body);
+        prop_assert!(reader.is_empty(), "reader left {} bytes", reader.len());
     }
 
     /// Declared Content-Length beyond the cap is refused *before* the

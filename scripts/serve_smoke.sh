@@ -71,6 +71,13 @@ expect_exit 2 "$BIN/fg-serve" --no-such-flag
 expect_exit 2 "$BIN/fg-loadgen" --no-such-flag
 expect_exit 4 "$BIN/fg-serve" --check --config serve-config.bad.json
 expect_exit 3 "$BIN/fg-loadgen" --addr 127.0.0.1:9 --duration 1s --connections 1 --out /dev/null
+# A reader that stops early closes the pipe: a normal end of output, exit 0.
+set +e
+"$BIN/fg-serve" --print-config | head -c 1 > /dev/null
+got=${PIPESTATUS[0]}
+set -e
+[ "$got" -eq 0 ] || fail "expected exit 0 from 'fg-serve --print-config | head -c 1', got $got"
+echo "serve-smoke: exit-code contract ok: 'fg-serve --print-config | head -c 1' -> $got"
 
 # --- boot -------------------------------------------------------------
 "$BIN/fg-serve" --config "$CONFIG" --final-metrics serve-final-metrics.prom > "$LOG" 2>&1 &
